@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, and the tier-1 build+test cycle.
+# CI gate: formatting, lints, the tier-1 build+test cycle, and the
+# whole workspace's tests with and without the epoll backend.
 # Everything runs offline — external deps are vendored under compat/.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -24,6 +25,15 @@ echo "== epoll backend: cargo test -q --features epoll =="
 # the backend is a drop-in swap behind compat/poll's Poller, so every
 # parity, chaos, and reactor test must pass unchanged.
 cargo test -q --features epoll
+
+echo "== workspace: cargo test --workspace -q =="
+# Tier 1 above tests only the root package. This runs every crate's
+# own unit and integration tests too (oat-net's reactor and transport
+# units, oat-wal, oat-obs, oat-query's convergence suite, ...).
+cargo test --workspace -q
+
+echo "== workspace on epoll: cargo test --workspace -q --features epoll =="
+cargo test --workspace -q --features epoll
 
 echo "== bench smoke: oat bench --quick --threads 2 --trace =="
 # Quick-mode run of the measured baseline: validates the oat-bench-v4

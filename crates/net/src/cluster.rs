@@ -1288,6 +1288,13 @@ impl<V: WireValue> ClusterClient<V> {
     /// submitting work. A dead connection is replaced (with pending
     /// requests re-driven and subscriptions re-registered) and reported
     /// as `Ok(None)` for this round.
+    ///
+    /// The wait is a socket read timeout, so an idle call lasts at least
+    /// one kernel timer tick, not `wait`: with `CONFIG_HZ=250` a 1 ms
+    /// wait that sees nothing takes ~8 ms (perfbench's
+    /// `client.idle_poll_us` measures 8.0 ms). Callers that pace work
+    /// with it, like the query engine's per-fact poll, run at that
+    /// granularity.
     pub fn try_next_response(&mut self, wait: Duration) -> io::Result<Option<(u64, Response<V>)>> {
         if let Some(parked) = self.parked_partials.pop_front() {
             return Ok(Some(parked));

@@ -59,6 +59,9 @@ pub struct NodeMetrics {
     pub wal_torn_bytes: u64,
     /// Snapshots written by the durability backend.
     pub wal_snapshots: u64,
+    /// Live edges on an in-memory pipe: the neighbour is served by the
+    /// same reactor thread, so frames on the edge skip the kernel.
+    pub mem_edges: u32,
 }
 
 impl NodeMetrics {
@@ -94,6 +97,7 @@ impl NodeMetrics {
         put_u64(out, self.wal_replays);
         put_u64(out, self.wal_torn_bytes);
         put_u64(out, self.wal_snapshots);
+        put_u32(out, self.mem_edges);
     }
 
     /// Decodes a snapshot, requiring full consumption of `buf`.
@@ -138,6 +142,7 @@ impl NodeMetrics {
             wal_replays: r.u64("metrics wal_replays")?,
             wal_torn_bytes: r.u64("metrics wal_torn_bytes")?,
             wal_snapshots: r.u64("metrics wal_snapshots")?,
+            mem_edges: r.u32("metrics mem_edges")?,
         };
         r.finish("metrics trailing bytes")?;
         Ok(metrics)
@@ -177,7 +182,7 @@ impl NodeMetrics {
             out.push_str("\n  ");
         }
         out.push_str(&format!(
-            "],\n  \"leases\": {{\"taken\": {}, \"granted\": {}}},\n  \"queue\": {{\"depth\": {}, \"peak\": {}}},\n  \"combines\": {{\"pending\": {}, \"served\": {}}},\n  \"faults\": {{\"reconnects\": {}, \"retransmits\": {}, \"dup_drops\": {}, \"timeouts\": {}, \"restarts\": {}, \"kill9s\": {}, \"backpressure_stalls\": {}}},\n  \"wal\": {{\"records\": {}, \"fsyncs\": {}, \"replays\": {}, \"torn_bytes\": {}, \"snapshots\": {}}}\n}}",
+            "],\n  \"leases\": {{\"taken\": {}, \"granted\": {}}},\n  \"queue\": {{\"depth\": {}, \"peak\": {}}},\n  \"combines\": {{\"pending\": {}, \"served\": {}}},\n  \"faults\": {{\"reconnects\": {}, \"retransmits\": {}, \"dup_drops\": {}, \"timeouts\": {}, \"restarts\": {}, \"kill9s\": {}, \"backpressure_stalls\": {}}},\n  \"wal\": {{\"records\": {}, \"fsyncs\": {}, \"replays\": {}, \"torn_bytes\": {}, \"snapshots\": {}}},\n  \"mem_edges\": {}\n}}",
             self.leases_taken,
             self.leases_granted,
             self.queue_depth,
@@ -196,6 +201,7 @@ impl NodeMetrics {
             self.wal_replays,
             self.wal_torn_bytes,
             self.wal_snapshots,
+            self.mem_edges,
         ));
         out
     }
@@ -229,6 +235,7 @@ mod tests {
             wal_replays: 2,
             wal_torn_bytes: 11,
             wal_snapshots: 1,
+            mem_edges: 2,
         }
     }
 
@@ -254,7 +261,7 @@ mod tests {
             "\"faults\": {\"reconnects\": 1, \"retransmits\": 2, \"dup_drops\": 3, \"timeouts\": 4, \"restarts\": 5, \"kill9s\": 7, \"backpressure_stalls\": 6}"
         ));
         assert!(json.contains(
-            "\"wal\": {\"records\": 80, \"fsyncs\": 9, \"replays\": 2, \"torn_bytes\": 11, \"snapshots\": 1}"
+            "\"wal\": {\"records\": 80, \"fsyncs\": 9, \"replays\": 2, \"torn_bytes\": 11, \"snapshots\": 1},\n  \"mem_edges\": 2\n}"
         ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

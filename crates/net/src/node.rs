@@ -118,7 +118,7 @@ use crate::frame::{
 };
 use crate::metrics::NodeMetrics;
 use crate::reactor::{Conn, InFlight, NodeSeed, Tok, WriteQueue};
-use crate::transport::{Listener, NodeAddr, Stream};
+use crate::transport::{Listener, MemHub, MemStream, NodeAddr, Stream};
 
 /// Identifies one client connection to one node.
 pub(crate) type ClientId = u64;
@@ -239,6 +239,8 @@ pub(crate) struct Ctx<'a, S, A: AggOp> {
     /// Retransmit-buffer backpressure watermarks.
     pub rtx_high: usize,
     pub rtx_low: usize,
+    /// This reactor's memory-pipe switchboard (same-reactor edges).
+    pub mem: &'a MemHub,
 }
 
 /// Send + receive state of one edge: the sequenced link, its live
@@ -622,45 +624,42 @@ where
     /// Appends this node's poll interest set: listener, pre-hello
     /// connections, edges (live + dialing), clients. A stalled node
     /// drops `POLLIN` interest on its clients only — the intake that
-    /// creates new sequenced frames — never on edges.
+    /// creates new sequenced frames — never on edges. Memory pipes have
+    /// no descriptor and stay out of the set (see [`NodeRt::on_mem_ready`]).
     pub(crate) fn register(&self, idx: usize, fds: &mut Vec<PollFd>, toks: &mut Vec<Tok>) {
         fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
         toks.push(Tok::Listener(idx));
-        for (&pid, conn) in &self.pending {
-            fds.push(PollFd::new(conn.stream.as_raw_fd(), POLLIN));
-            toks.push(Tok::Pending(idx, pid));
-        }
         // POLLOUT interest is transport-gated: ring doorbells are almost
         // always writable, so arming POLLOUT on them would busy-spin. A
         // blocked ring write recovers via the peer's space-freed nudge
         // (POLLIN) plus the unconditional flush pass each iteration.
-        for (wi, link) in self.links.iter().enumerate() {
-            if let Some(conn) = &link.conn {
-                let mut ev = POLLIN;
-                if !conn.out.is_empty() && conn.stream.wants_pollout() {
-                    ev |= POLLOUT;
-                }
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), ev));
-                toks.push(Tok::Edge(idx, wi));
-            }
-            if let Some(conn) = &link.pending_dial {
-                let mut ev = POLLIN;
-                if !conn.out.is_empty() && conn.stream.wants_pollout() {
-                    ev |= POLLOUT;
-                }
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), ev));
-                toks.push(Tok::Dial(idx, wi));
-            }
-        }
-        for (&cid, conn) in &self.clients {
-            let mut ev = if self.stalled { 0 } else { POLLIN };
+        let mut push = |conn: &Conn, ev: i16, tok: Tok| {
+            let Some(fd) = conn.stream.fd() else {
+                return;
+            };
+            let mut ev = ev;
             if !conn.out.is_empty() && conn.stream.wants_pollout() {
                 ev |= POLLOUT;
             }
             if ev != 0 {
-                fds.push(PollFd::new(conn.stream.as_raw_fd(), ev));
-                toks.push(Tok::Client(idx, cid));
+                fds.push(PollFd::new(fd, ev));
+                toks.push(tok);
             }
+        };
+        for (&pid, conn) in &self.pending {
+            push(conn, POLLIN, Tok::Pending(idx, pid));
+        }
+        for (wi, link) in self.links.iter().enumerate() {
+            if let Some(conn) = &link.conn {
+                push(conn, POLLIN, Tok::Edge(idx, wi));
+            }
+            if let Some(conn) = &link.pending_dial {
+                push(conn, POLLIN, Tok::Dial(idx, wi));
+            }
+        }
+        let client_ev = if self.stalled { 0 } else { POLLIN };
+        for (&cid, conn) in &self.clients {
+            push(conn, client_ev, Tok::Client(idx, cid));
         }
     }
 
@@ -680,6 +679,46 @@ where
                 Err(_) => break,
             }
         }
+    }
+
+    /// Adopts the accepting end of a memory pipe a neighbour on this
+    /// reactor dialled; like an accepted socket, it waits in `pending`
+    /// until its hello classifies it.
+    pub(crate) fn adopt_mem(&mut self, stream: MemStream) {
+        if let Ok(conn) = Conn::new(Stream::Mem(stream)) {
+            self.pending.insert(self.next_pending, conn);
+            self.next_pending += 1;
+        }
+    }
+
+    /// Serves every memory pipe of this node that holds bytes or EOF,
+    /// through the same handlers a readable socket gets. Returns `true`
+    /// when input was left unread (a bounded read per pipe), so the
+    /// reactor keeps the node on its ready list.
+    pub(crate) fn on_mem_ready(&mut self, ctx: &Ctx<'_, S, A>, scratch: &mut [u8]) -> bool {
+        let pids: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|(_, c)| c.stream.mem_readable())
+            .map(|(&pid, _)| pid)
+            .collect();
+        for pid in pids {
+            self.on_pending_ready(pid, ctx, scratch);
+        }
+        let readable = |c: &Option<Conn>| c.as_ref().is_some_and(|c| c.stream.mem_readable());
+        for wi in 0..self.links.len() {
+            if readable(&self.links[wi].pending_dial) {
+                self.on_dial_ready(wi, ctx, scratch);
+            }
+            if readable(&self.links[wi].conn) {
+                self.on_edge_ready(wi, ctx, scratch);
+            }
+        }
+        self.pending.values().any(|c| c.stream.mem_readable())
+            || self
+                .links
+                .iter()
+                .any(|l| readable(&l.pending_dial) || readable(&l.conn))
     }
 
     /// A pre-hello connection became readable: classify it by its first
@@ -2134,9 +2173,16 @@ where
         }
     }
 
+    /// Dials neighbour `wi`: over a memory pipe when this reactor also
+    /// owns the peer (the cluster places node `u` on reactor
+    /// `u % pool`), else over the cluster transport.
     fn try_dial(&mut self, wi: usize, ctx: &Ctx<'_, S, A>) {
         let link = &mut self.links[wi];
-        let attempt = Stream::connect(&ctx.addrs[link.peer.idx()]).and_then(Conn::new);
+        let stream = match ctx.mem.connect(self.id, link.peer) {
+            Some(pipe) => Ok(Stream::Mem(pipe)),
+            None => Stream::connect(&ctx.addrs[link.peer.idx()]),
+        };
+        let attempt = stream.and_then(Conn::new);
         match attempt {
             Ok(mut conn) => {
                 let mut hello = Vec::with_capacity(20);
@@ -2323,6 +2369,11 @@ where
             wal_replays: wal.replays,
             wal_torn_bytes: wal.torn_bytes,
             wal_snapshots: wal.snapshots,
+            mem_edges: self
+                .links
+                .iter()
+                .filter(|l| l.conn.as_ref().is_some_and(|c| c.stream.is_mem()))
+                .count() as u32,
         }
     }
 

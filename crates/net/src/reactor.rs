@@ -26,12 +26,20 @@
 //! (`poll` is level-triggered, so leftovers re-report next iteration)
 //! and every complete frame is dispatched inline on the owning node.
 //!
-//! Cross-node delivery needs no special case: a node writes to the TCP
-//! edge exactly as before, and the peer's socket becomes readable on
-//! its own reactor — whether that is the same thread (next iteration)
-//! or another one. Quiescence, sequencing, retransmission, and fault
-//! injection are all per-node state transitions and survive the move
-//! from threads to events wholesale (see [`crate::node`]).
+//! ## Same-reactor edges
+//!
+//! An edge whose two nodes share this reactor runs over an in-memory
+//! pipe ([`crate::transport::MemStream`]) instead of a socket: the
+//! dialler gets one end, the other waits in the reactor's [`MemHub`]
+//! until the peer adopts it as a pre-hello connection. A pipe has no
+//! descriptor. Writing to it puts the peer on the hub's ready list, and
+//! right after the flush pass [`pump_mem`] runs each ready node's pipe
+//! handlers and flushes that node at once, so a chain of same-thread
+//! hops advances without a single syscall. Frames to a node on another
+//! reactor, and all client traffic, still cross a socket and wake the
+//! peer's `poll`. Sequencing, acks, retransmission, fault injection and
+//! quiescence are per-node state transitions above the byte pipe, so
+//! they behave the same on both (see [`crate::node`]).
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -51,7 +59,7 @@ use std::os::unix::net::UnixStream;
 
 use crate::frame::{write_frame, FrameDecoder};
 use crate::node::{Ctx, NodeReport, NodeRt, RTO};
-use crate::transport::{Listener, NodeAddr, Stream};
+use crate::transport::{Listener, MemHub, NodeAddr, Stream};
 
 /// Cluster-wide in-flight work counter with event-driven quiescence.
 ///
@@ -130,6 +138,12 @@ pub(crate) const READ_CHUNK: usize = 16 * 1024;
 /// Reads issued per readiness event before yielding back to the loop
 /// (level-triggered `poll` re-reports anything left in the kernel).
 const READS_PER_EVENT: usize = 4;
+
+/// Memory-pipe rounds served back to back before the reactor polls its
+/// sockets again. One round serves every node with a readable pipe, so
+/// a chain of same-reactor hops advances one hop per round; the bound
+/// keeps sockets and timers from starving under sustained local load.
+const MEM_ROUNDS: usize = 16;
 
 /// Outbound byte queue of one connection: whole frames, coalesced into
 /// chunks, drained with `write_vectored` and `WouldBlock` requeueing.
@@ -354,6 +368,8 @@ where
         rtx_high,
         rtx_low,
     } = cfg;
+    let ids: Vec<NodeId> = shard_nodes.iter().map(|seed| seed.id).collect();
+    let mem = MemHub::new(tree.len(), &ids);
     let ctx = Ctx {
         tree: &tree,
         addrs: &addrs,
@@ -365,12 +381,14 @@ where
         ledger: &ledger,
         rtx_high,
         rtx_low,
+        mem: &mem,
     };
     let mut nodes: Vec<NodeRt<S, A>> = shard_nodes
         .into_iter()
         .map(|seed| NodeRt::new(seed, &ctx, &plan, ready_tx.clone()))
         .collect();
     let mut scratch = vec![0u8; READ_CHUNK];
+    let mut mem_ready: Vec<usize> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut toks: Vec<Tok> = Vec::new();
     // With the `epoll` feature this holds a persistent epoll instance
@@ -395,6 +413,7 @@ where
         for node in nodes.iter_mut() {
             node.flush(&ctx);
         }
+        pump_mem(shard, &mut nodes, &ctx, &mut scratch, &mut mem_ready);
 
         // Sleep bound: the next RTO tick if anyone has unacked frames,
         // the earliest redial timer, else block until a socket or the
@@ -407,6 +426,11 @@ where
                 _ => d,
             });
         };
+        if mem.has_work() {
+            // The pump stopped at its round bound with pipes still
+            // readable: look at the sockets, but do not sleep.
+            consider(Duration::ZERO);
+        }
         for node in &nodes {
             if node.wants_rto_tick() {
                 consider((last_tick + RTO).saturating_duration_since(now));
@@ -491,6 +515,53 @@ where
         if handled > 0 {
             oat_obs::trace_span!(oat_obs::EventKind::Dispatch, t_dispatch, shard, handled, 0);
         }
+    }
+}
+
+/// Serves same-reactor memory pipes without a syscall: adopts dialled
+/// pipe ends, then runs every node whose pipes hold bytes or EOF and
+/// flushes it at once, so its output lands in the next node's pipe
+/// within the same call. Repeats until no pipe is readable or
+/// [`MEM_ROUNDS`] rounds ran; the caller then polls with a zero timeout
+/// if work remains.
+fn pump_mem<S, A>(
+    shard: u32,
+    nodes: &mut [NodeRt<S, A>],
+    ctx: &Ctx<'_, S, A>,
+    scratch: &mut [u8],
+    ready: &mut Vec<usize>,
+) where
+    S: PolicySpec,
+    S::Node: 'static,
+    A: AggOp,
+    A::Value: WireValue,
+{
+    for _ in 0..MEM_ROUNDS {
+        for (slot, stream) in ctx.mem.take_accepts() {
+            nodes[slot].adopt_mem(stream);
+        }
+        ctx.mem.take_ready(ready);
+        if ready.is_empty() {
+            return;
+        }
+        let t_dispatch = oat_obs::now_ns();
+        for &i in ready.iter() {
+            let node = &mut nodes[i];
+            if node.on_mem_ready(ctx, scratch) {
+                ctx.mem.mark(i);
+            }
+            if node.take_kill9() {
+                node.kill9_restart(ctx);
+            }
+            node.flush(ctx);
+        }
+        oat_obs::trace_span!(
+            oat_obs::EventKind::Dispatch,
+            t_dispatch,
+            shard,
+            ready.len() as u32,
+            1
+        );
     }
 }
 

@@ -12,16 +12,25 @@
 //! half so the peer's poll loop (or blocking read) wakes up. Rings are
 //! level-triggered from the reactor's point of view because doorbell
 //! bytes are only drained once the ring itself is empty.
+//!
+//! Whatever the configured transport, an edge between two nodes served
+//! by the same reactor thread uses a [`MemStream`]: a pair of plain
+//! in-memory buffers with no descriptor, served from the reactor's
+//! [`MemHub`] ready list instead of the poller.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
+
+use oat_core::tree::NodeId;
 
 /// Which connection transport a cluster uses for edges and clients.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -501,6 +510,211 @@ impl AsRawFd for RingListener {
 }
 
 // ---------------------------------------------------------------------------
+// Same-reactor memory pipe
+// ---------------------------------------------------------------------------
+
+/// Local nodes (indices into one reactor's node vector) whose memory
+/// pipes hold bytes or EOF, each listed once until taken.
+struct MemReady {
+    list: RefCell<Vec<usize>>,
+    marked: RefCell<Vec<bool>>,
+}
+
+impl MemReady {
+    fn mark(&self, slot: usize) {
+        let mut marked = self.marked.borrow_mut();
+        if !marked[slot] {
+            marked[slot] = true;
+            self.list.borrow_mut().push(slot);
+        }
+    }
+}
+
+/// Shared state of one memory pipe: a byte buffer per direction (`buf[e]`
+/// is read by end `e`), one close flag for both directions, and the
+/// local slot of each end's owning node.
+struct MemPipe {
+    buf: [RefCell<MemBuf>; 2],
+    closed: Cell<bool>,
+    slot: [usize; 2],
+    ready: Rc<MemReady>,
+}
+
+/// An unbounded byte FIFO: appends at the back, reads advance `head`.
+#[derive(Default)]
+struct MemBuf {
+    bytes: Vec<u8>,
+    head: usize,
+}
+
+impl MemBuf {
+    fn is_empty(&self) -> bool {
+        self.head == self.bytes.len()
+    }
+
+    fn pop(&mut self, out: &mut [u8]) -> usize {
+        let n = out.len().min(self.bytes.len() - self.head);
+        out[..n].copy_from_slice(&self.bytes[self.head..self.head + n]);
+        self.head += n;
+        if self.is_empty() {
+            self.bytes.clear();
+            self.head = 0;
+        }
+        n
+    }
+
+    fn push(&mut self, src: &[u8]) {
+        if self.head > 0 && self.head >= self.bytes.len() / 2 {
+            // Reclaim the consumed prefix before growing.
+            self.bytes.drain(..self.head);
+            self.head = 0;
+        }
+        self.bytes.extend_from_slice(src);
+    }
+}
+
+/// One end of an in-memory duplex byte pipe between two nodes owned by
+/// the same reactor thread. A write appends to the peer's buffer and
+/// puts the peer on its reactor's ready list; it never blocks and never
+/// touches the kernel. `shutdown` (or drop) closes both directions: the
+/// peer reads what was already written, then EOF, and any later write
+/// fails with `BrokenPipe`. The `Rc` ends are `!Send`, so a pipe cannot
+/// leave the thread that made it.
+pub(crate) struct MemStream {
+    pipe: Rc<MemPipe>,
+    end: usize,
+}
+
+impl MemStream {
+    /// Non-blocking read: `WouldBlock` when empty, `Ok(0)` at EOF.
+    pub(crate) fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let n = self.pipe.buf[self.end].borrow_mut().pop(out);
+        if n > 0 || self.pipe.closed.get() {
+            return Ok(n);
+        }
+        Err(io::ErrorKind::WouldBlock.into())
+    }
+
+    /// Appends every byte; the pipe is unbounded, so this never returns
+    /// a short count.
+    pub(crate) fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        if self.pipe.closed.get() {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "memory pipe closed",
+            ));
+        }
+        let peer = 1 - self.end;
+        let mut total = 0;
+        {
+            let mut buf = self.pipe.buf[peer].borrow_mut();
+            for b in bufs {
+                buf.push(b);
+                total += b.len();
+            }
+        }
+        if total > 0 {
+            self.pipe.ready.mark(self.pipe.slot[peer]);
+        }
+        Ok(total)
+    }
+
+    /// Closes both directions and wakes the peer to read its EOF.
+    /// Idempotent.
+    pub(crate) fn shutdown(&self) {
+        if !self.pipe.closed.replace(true) {
+            self.pipe.ready.mark(self.pipe.slot[1 - self.end]);
+        }
+    }
+
+    /// Bytes or EOF are waiting to be read.
+    pub(crate) fn readable(&self) -> bool {
+        self.pipe.closed.get() || !self.pipe.buf[self.end].borrow().is_empty()
+    }
+}
+
+impl Drop for MemStream {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// One reactor's memory-pipe switchboard: which nodes it owns, which of
+/// their pipes are readable, and dialled pipe ends awaiting adoption by
+/// the accepting node (the in-memory counterpart of a listen backlog).
+pub(crate) struct MemHub {
+    /// Local slot of each node this reactor owns, by node index.
+    slots: Vec<Option<usize>>,
+    ready: Rc<MemReady>,
+    accepts: RefCell<Vec<(usize, MemStream)>>,
+}
+
+impl MemHub {
+    /// A hub for a reactor owning `local` (slot `i` is `local[i]`) in a
+    /// cluster of `n` nodes.
+    pub(crate) fn new(n: usize, local: &[NodeId]) -> MemHub {
+        let mut slots = vec![None; n];
+        for (slot, id) in local.iter().enumerate() {
+            slots[id.idx()] = Some(slot);
+        }
+        MemHub {
+            slots,
+            ready: Rc::new(MemReady {
+                list: RefCell::default(),
+                marked: RefCell::new(vec![false; local.len()]),
+            }),
+            accepts: RefCell::default(),
+        }
+    }
+
+    /// Dials `to` from `from` over a memory pipe when this reactor owns
+    /// both, returning the dialler's end; the accepting end waits in the
+    /// hub until [`MemHub::take_accepts`]. `None` means `to` lives on
+    /// another reactor and needs a socket.
+    pub(crate) fn connect(&self, from: NodeId, to: NodeId) -> Option<MemStream> {
+        let (a, b) = (self.slots[from.idx()]?, self.slots[to.idx()]?);
+        let pipe = Rc::new(MemPipe {
+            buf: Default::default(),
+            closed: Cell::new(false),
+            slot: [a, b],
+            ready: Rc::clone(&self.ready),
+        });
+        let accept = MemStream {
+            pipe: Rc::clone(&pipe),
+            end: 1,
+        };
+        self.accepts.borrow_mut().push((b, accept));
+        Some(MemStream { pipe, end: 0 })
+    }
+
+    /// True while a pipe holds bytes or EOF, or a dialled end awaits
+    /// adoption.
+    pub(crate) fn has_work(&self) -> bool {
+        !self.ready.list.borrow().is_empty() || !self.accepts.borrow().is_empty()
+    }
+
+    /// Dialled ends to adopt, as `(accepting slot, stream)`.
+    pub(crate) fn take_accepts(&self) -> Vec<(usize, MemStream)> {
+        std::mem::take(&mut *self.accepts.borrow_mut())
+    }
+
+    /// Moves the ready list into `into` (cleared first) and unmarks it.
+    pub(crate) fn take_ready(&self, into: &mut Vec<usize>) {
+        into.clear();
+        std::mem::swap(&mut *self.ready.list.borrow_mut(), into);
+        let mut marked = self.ready.marked.borrow_mut();
+        for &slot in into.iter() {
+            marked[slot] = false;
+        }
+    }
+
+    /// Puts `slot` back on the ready list (input was left unread).
+    pub(crate) fn mark(&self, slot: usize) {
+        self.ready.mark(slot);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // UDS temp-dir guard
 // ---------------------------------------------------------------------------
 
@@ -534,11 +748,13 @@ impl Drop for UdsDir {
 // Reactor-side stream / listener
 // ---------------------------------------------------------------------------
 
-/// A non-blocking reactor-side connection over any transport.
+/// A non-blocking reactor-side connection over any transport, or an
+/// in-memory pipe to a node on the same reactor thread.
 pub(crate) enum Stream {
     Tcp(TcpStream),
     Uds(UnixStream),
     Ring(RingStream),
+    Mem(MemStream),
 }
 
 impl Stream {
@@ -563,6 +779,7 @@ impl Stream {
             }
             Stream::Uds(s) => s.set_nonblocking(true),
             Stream::Ring(s) => s.sock.set_nonblocking(true),
+            Stream::Mem(_) => Ok(()),
         }
     }
 
@@ -571,6 +788,7 @@ impl Stream {
             Stream::Tcp(s) => s.read(buf),
             Stream::Uds(s) => s.read(buf),
             Stream::Ring(s) => s.read(buf),
+            Stream::Mem(s) => s.read(buf),
         }
     }
 
@@ -579,6 +797,7 @@ impl Stream {
             Stream::Tcp(s) => s.write_vectored(bufs),
             Stream::Uds(s) => s.write_vectored(bufs),
             Stream::Ring(s) => s.write_vectored(bufs),
+            Stream::Mem(s) => s.write_vectored(bufs),
         }
     }
 
@@ -590,6 +809,10 @@ impl Stream {
                 s.shutdown();
                 Ok(())
             }
+            Stream::Mem(s) => {
+                s.shutdown();
+                Ok(())
+            }
         }
     }
 
@@ -598,17 +821,28 @@ impl Stream {
     /// write-readiness would busy-spin; blocked ring writes recover
     /// via the peer's space-freed nudge (POLLIN) instead.
     pub(crate) fn wants_pollout(&self) -> bool {
-        !matches!(self, Stream::Ring(_))
+        matches!(self, Stream::Tcp(_) | Stream::Uds(_))
     }
-}
 
-impl AsRawFd for Stream {
-    fn as_raw_fd(&self) -> RawFd {
+    /// The descriptor to poll, or `None` for a memory pipe, which the
+    /// reactor serves from its ready list instead.
+    pub(crate) fn fd(&self) -> Option<RawFd> {
         match self {
-            Stream::Tcp(s) => s.as_raw_fd(),
-            Stream::Uds(s) => s.as_raw_fd(),
-            Stream::Ring(s) => s.as_raw_fd(),
+            Stream::Tcp(s) => Some(s.as_raw_fd()),
+            Stream::Uds(s) => Some(s.as_raw_fd()),
+            Stream::Ring(s) => Some(s.as_raw_fd()),
+            Stream::Mem(_) => None,
         }
+    }
+
+    /// The memory pipe holds bytes or EOF (always false for sockets,
+    /// whose readiness comes from the poller).
+    pub(crate) fn mem_readable(&self) -> bool {
+        matches!(self, Stream::Mem(s) if s.readable())
+    }
+
+    pub(crate) fn is_mem(&self) -> bool {
+        matches!(self, Stream::Mem(_))
     }
 }
 
@@ -616,8 +850,11 @@ impl Drop for Stream {
     fn drop(&mut self) {
         // The epoll poller diffs a persistent interest set; it must
         // learn about closed descriptors before their numbers are
-        // reused (no-op under the poll(2) backend).
-        oat_poll::note_closed(self.as_raw_fd());
+        // reused (no-op under the poll(2) backend). Memory pipes were
+        // never in the set.
+        if let Some(fd) = self.fd() {
+            oat_poll::note_closed(fd);
+        }
     }
 }
 
@@ -818,6 +1055,106 @@ mod tests {
         drop(l);
         let err = ring_connect(id).err().expect("deregistered listener");
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+    }
+
+    /// A hub owning nodes 0 and 2 of a 3-node cluster (slots 0 and 1),
+    /// and a pipe dialled from node 0 to node 2: `(hub, dialler end,
+    /// accepting end)`.
+    fn mem_pair() -> (MemHub, Stream, Stream) {
+        let hub = MemHub::new(3, &[NodeId(0), NodeId(2)]);
+        let a = hub.connect(NodeId(0), NodeId(2)).expect("both local");
+        let mut accepts = hub.take_accepts();
+        assert_eq!(accepts.len(), 1);
+        let (slot, b) = accepts.pop().unwrap();
+        assert_eq!(slot, 1, "accepting end belongs to node 2's slot");
+        (hub, Stream::Mem(a), Stream::Mem(b))
+    }
+
+    fn ready(hub: &MemHub) -> Vec<usize> {
+        let mut v = Vec::new();
+        hub.take_ready(&mut v);
+        v
+    }
+
+    #[test]
+    fn mem_connect_only_between_local_nodes() {
+        let hub = MemHub::new(3, &[NodeId(0), NodeId(2)]);
+        assert!(hub.connect(NodeId(0), NodeId(1)).is_none());
+        assert!(!hub.has_work());
+        let _a = hub.connect(NodeId(2), NodeId(0)).unwrap();
+        assert!(hub.has_work(), "the accepting end waits for adoption");
+        assert_eq!(hub.take_accepts()[0].0, 0);
+    }
+
+    #[test]
+    fn mem_write_marks_the_peer_and_partial_reads_drain_in_order() {
+        let (hub, mut a, mut b) = mem_pair();
+        assert!(!hub.has_work());
+        let mut buf = [0u8; 4];
+        assert_eq!(
+            b.read(&mut buf).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock
+        );
+        let n = a
+            .write_vectored(&[IoSlice::new(b"hello "), IoSlice::new(b"pipe")])
+            .unwrap();
+        assert_eq!(n, 10, "a memory pipe never writes short");
+        assert_eq!(ready(&hub), vec![1], "the reader's node is ready once");
+        assert!(b.mem_readable() && !a.mem_readable());
+        let mut got = Vec::new();
+        while let Ok(n) = b.read(&mut buf) {
+            assert!(n > 0 && n <= buf.len());
+            got.extend_from_slice(&buf[..n]);
+        }
+        assert_eq!(got, b"hello pipe");
+        assert!(!b.mem_readable());
+        // The other direction marks the dialler's slot.
+        b.write_vectored(&[IoSlice::new(b"ok")]).unwrap();
+        assert_eq!(ready(&hub), vec![0]);
+        assert_eq!(a.read(&mut buf).unwrap(), 2);
+        assert!(a.fd().is_none() && !a.wants_pollout());
+    }
+
+    #[test]
+    fn mem_eof_after_shutdown_delivers_written_bytes_first() {
+        let (hub, mut a, mut b) = mem_pair();
+        a.write_vectored(&[IoSlice::new(b"tail")]).unwrap();
+        a.shutdown(Shutdown::Both).unwrap();
+        assert_eq!(ready(&hub), vec![1]);
+        let mut buf = [0u8; 16];
+        assert_eq!(b.read(&mut buf).unwrap(), 4);
+        assert_eq!(&buf[..4], b"tail");
+        assert!(b.mem_readable(), "EOF is still readable");
+        assert_eq!(b.read(&mut buf).unwrap(), 0);
+        assert_eq!(b.read(&mut buf).unwrap(), 0);
+    }
+
+    #[test]
+    fn mem_write_after_close_is_broken_pipe() {
+        let (hub, mut a, b) = mem_pair();
+        drop(b);
+        assert_eq!(ready(&hub), vec![0], "dropping an end wakes the peer");
+        let err = a.write_vectored(&[IoSlice::new(b"x")]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        let mut buf = [0u8; 4];
+        assert_eq!(a.read(&mut buf).unwrap(), 0);
+        // Closing twice wakes the peer once.
+        a.shutdown(Shutdown::Both).unwrap();
+        assert!(ready(&hub).is_empty());
+    }
+
+    #[test]
+    fn mem_buffer_reclaims_consumed_bytes() {
+        let mut buf = MemBuf::default();
+        let mut out = [0u8; 3];
+        buf.push(b"abcdef");
+        assert_eq!(buf.pop(&mut out), 3);
+        buf.push(b"gh");
+        assert_eq!(buf.head, 0, "the read half was compacted away");
+        let mut rest = [0u8; 8];
+        assert_eq!(buf.pop(&mut rest), 5);
+        assert_eq!(&rest[..5], b"defgh");
+        assert!(buf.is_empty() && buf.bytes.is_empty());
     }
 
     #[test]

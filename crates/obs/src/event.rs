@@ -65,7 +65,8 @@ pub enum EventKind {
     /// `a`=shard, `b`=ready descriptors.
     PollWake = 18,
     /// One reactor readiness-dispatch pass. Span. `a`=shard,
-    /// `b`=descriptors handled.
+    /// `b`=descriptors handled; `c`=1 marks a memory-pipe round, where
+    /// `b` counts the nodes served.
     Dispatch = 19,
     /// The simulator delivered one message. `a`=from, `b`=to,
     /// `c`=message kind index (the MLAP engine reuses this with `c`=4

@@ -28,7 +28,9 @@
 //!    aggregate changes (plus one priming push at subscribe time).
 //! 2. **Window finals** — a tumbling window is finalized when the
 //!    group's first fact of a later window arrives: outstanding writes
-//!    for the group are drained, a synchronous combine reads the exact
+//!    for the group are drained, the cluster is quiesced (an ack only
+//!    means the write ran at its shard node; its updates toward node 0
+//!    may still be in flight), a synchronous combine reads the exact
 //!    window value, and the group's shards reset to identity.
 //! 3. **Settlement** — after the stream ends: one pre-final snapshot
 //!    per key, then heal (re-write all accumulators), drain, quiesce,
@@ -342,11 +344,16 @@ impl<'a> Driver<'a> {
     }
 
     /// Finalizes tumbling window `w` of `key` exactly: drain the key's
-    /// outstanding writes, read the window value synchronously, emit it
+    /// outstanding writes, wait until the updates they set off have
+    /// reached every node, read the window value synchronously, emit it
     /// as a final, and reset the key's shards to identity for the next
     /// window.
-    fn finalize_window(&mut self, key: u32, w: u64) -> io::Result<()> {
+    fn finalize_window<A>(&mut self, cluster: &Cluster<A>, key: u32, w: u64) -> io::Result<()>
+    where
+        A: AggOp<Value = i64>,
+    {
         self.drain_key(key)?;
+        cluster.quiesce();
         let v = self.sub.combine_tree(Self::tree_of(key))?;
         self.emit(key, w, v, true);
         self.finals.push(Final {
@@ -367,13 +374,16 @@ impl<'a> Driver<'a> {
         Ok(())
     }
 
-    fn process_fact(&mut self, f: &Fact) -> io::Result<()> {
+    fn process_fact<A>(&mut self, cluster: &Cluster<A>, f: &Fact) -> io::Result<()>
+    where
+        A: AggOp<Value = i64>,
+    {
         let key = if self.spec.group_by_key { f.key } else { 0 };
         if let WindowSpec::Tumbling(width) = self.spec.window {
             let w = f.at_ms / width;
             let cur = *self.cur_window.entry(key).or_insert(w);
             if w > cur {
-                self.finalize_window(key, cur)?;
+                self.finalize_window(cluster, key, cur)?;
                 self.cur_window.insert(key, w);
             }
         }
@@ -453,7 +463,7 @@ where
 {
     let mut d = Driver::new(cluster, spec, facts.len())?;
     for f in facts {
-        d.process_fact(f)?;
+        d.process_fact(cluster, f)?;
     }
 
     // ---- Settlement ------------------------------------------------

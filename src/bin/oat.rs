@@ -734,26 +734,36 @@ fn top_frame(
         cats.trim_end(),
         trace.dropped
     );
+    // Each live in-memory edge is reported by both of its endpoints.
+    let mut ok: Vec<&oat::net::NodeMetrics> =
+        rows.iter().filter_map(|(_, r)| r.as_ref().ok()).collect();
+    let mem_ends: u32 = ok.iter().map(|m| m.mem_edges).sum();
     let _ = writeln!(
         s,
-        "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>6} {:>5} {:>8}",
-        "node", "served", "queue", "peak", "taken", "granted", "reconn", "rto", "restarts"
+        "  edges: {} of {} on in-memory pipes ({} reactor threads)",
+        mem_ends / 2,
+        cluster.tree().len().saturating_sub(1),
+        cluster.threads_spawned(),
+    );
+    let _ = writeln!(
+        s,
+        "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>3}  {:>6} {:>5} {:>8}",
+        "node", "served", "queue", "peak", "taken", "granted", "mem", "reconn", "rto", "restarts"
     );
     // The busiest nodes by combines served; nodes whose poll failed (a
     // node may be mid-crash-restart under --faults) become dimmed rows.
-    let mut ok: Vec<&oat::net::NodeMetrics> =
-        rows.iter().filter_map(|(_, r)| r.as_ref().ok()).collect();
     ok.sort_by_key(|m| std::cmp::Reverse(m.combines_served));
     for m in ok.iter().take(8) {
         let _ = writeln!(
             s,
-            "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>6} {:>5} {:>8}",
+            "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>3}  {:>6} {:>5} {:>8}",
             m.node,
             m.combines_served,
             m.queue_depth,
             m.queue_peak,
             m.leases_taken,
             m.leases_granted,
+            m.mem_edges,
             m.reconnects,
             m.timeouts,
             m.restarts,

@@ -237,6 +237,72 @@ fn chaos_run_matches_the_oracle_on_every_transport() {
 }
 
 #[test]
+fn memory_pipe_edges_reconnect_and_replay_after_kills() {
+    // Edges whose endpoints share a reactor run on in-memory pipes. With
+    // one reactor every edge does; with two, edges between nodes of
+    // equal parity do (node 2's edges to 0 and 8, not those to 7 and
+    // 9). A scheduled kill on the pipe edge 0-2 and a kill9 of node 2
+    // must both reconnect and replay through fresh pipes, under drops
+    // and duplicates, with every combine equal to the oracle.
+    let tree = Tree::kary(10, 3);
+    let seq = uniform(&tree, 90, 0.5, 0xD15C);
+    for threads in [1, 2] {
+        let wal_dir = tmpdir(&format!("mem-pipes-{threads}"));
+        let plan = FaultPlan {
+            seed: 41,
+            drop_p: 0.05,
+            dup_p: 0.05,
+            kills: vec![KillConn {
+                from: NodeId(0),
+                to: NodeId(2),
+                after_frames: 3,
+            }],
+            kill9s: vec![CrashNode {
+                node: NodeId(2),
+                after_delivered: 8,
+            }],
+            ..FaultPlan::default()
+        };
+        let cfg = NetConfig {
+            threads: Some(threads),
+            durability: DurabilityMode::Wal(WalConfig::new(&wal_dir)),
+            ..NetConfig::default()
+        };
+        let cluster = Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, plan, cfg)
+            .unwrap_or_else(|e| panic!("threads={threads}: spawn failed: {e}"));
+        let combines = replay_against_oracle(&cluster, &seq);
+        assert!(combines > 10, "threads={threads}: too few combines");
+
+        let (kill9s, _, _) = cluster.injected().snapshot_process();
+        let (_, _, _, kills, _) = cluster.injected().snapshot();
+        assert_eq!((kills, kill9s), (1, 1), "threads={threads}: faults fired");
+        // Node 2's pipes came back: its live in-memory edges are exactly
+        // its same-reactor neighbours again.
+        let want = tree
+            .nbrs(NodeId(2))
+            .iter()
+            .filter(|v| v.idx() % threads == 2 % threads)
+            .count() as u32;
+        let m2 = cluster.node_metrics(NodeId(2)).expect("metrics node 2");
+        assert_eq!(m2.mem_edges, want, "threads={threads}: node 2 pipes");
+        assert_eq!(m2.kill9s, 1);
+
+        let report = cluster.shutdown();
+        assert!(report.dead_nodes.is_empty(), "threads={threads}: wedged");
+        assert!(
+            report.faults.reconnects >= 2,
+            "threads={threads}: the kill and the kill9 must both reconnect (saw {})",
+            report.faults.reconnects
+        );
+        assert!(
+            report.faults.retransmits > 0,
+            "threads={threads}: no replay"
+        );
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
+}
+
+#[test]
 fn crash_only_chaos_preserves_written_state() {
     // Crash-restart in isolation (no link faults): a node is killed
     // after its writes have propagated; the supervisor restores its

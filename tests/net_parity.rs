@@ -32,19 +32,23 @@ use oat::workloads::{hotspot, uniform};
 const TRANSPORTS: [TransportKind; 3] =
     [TransportKind::Tcp, TransportKind::Uds, TransportKind::Ring];
 
-/// Spawns a fault-free cluster on the given transport backend.
+/// The default config on the given transport backend.
+fn on(transport: TransportKind) -> NetConfig {
+    NetConfig {
+        transport,
+        ..NetConfig::default()
+    }
+}
+
+/// Spawns a fault-free cluster with the given config.
 fn spawn_on<S: PolicySpec>(
     tree: &Tree,
     spec: &S,
-    transport: TransportKind,
+    cfg: NetConfig,
 ) -> std::io::Result<Cluster<SumI64>>
 where
     S::Node: 'static,
 {
-    let cfg = NetConfig {
-        transport,
-        ..NetConfig::default()
-    };
     Cluster::spawn_with(tree, SumI64, spec, false, FaultPlan::default(), cfg)
 }
 
@@ -53,23 +57,27 @@ fn assert_parity<S: PolicySpec>(label: &str, tree: &Tree, spec: &S, seq: &[Reque
 where
     S::Node: 'static,
 {
-    assert_parity_on(label, tree, spec, seq, TransportKind::Tcp);
+    assert_parity_on(label, tree, spec, seq, on(TransportKind::Tcp));
 }
 
-/// The transport-parameterized body of [`assert_parity`].
+/// The config-parameterized body of [`assert_parity`]. Also checks the
+/// placement rule: an edge runs on an in-memory pipe exactly when both
+/// endpoints share a reactor (`node % pool`). Returns the number of
+/// in-memory edges.
 fn assert_parity_on<S: PolicySpec>(
     label: &str,
     tree: &Tree,
     spec: &S,
     seq: &[Request<i64>],
-    transport: TransportKind,
-) where
+    cfg: NetConfig,
+) -> u32
+where
     S::Node: 'static,
 {
     let sim = run_sequential(tree, SumI64, spec, Schedule::Fifo, seq, false);
 
-    let cluster = spawn_on(tree, spec, transport)
-        .unwrap_or_else(|e| panic!("{label}: cluster spawn failed: {e}"));
+    let cluster =
+        spawn_on(tree, spec, cfg).unwrap_or_else(|e| panic!("{label}: cluster spawn failed: {e}"));
     let net = cluster
         .replay_sequential(seq)
         .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
@@ -99,6 +107,18 @@ fn assert_parity_on<S: PolicySpec>(
         reference.to_json(tree),
         "{label}: stats JSON differs"
     );
+    let pool = cluster.threads_spawned();
+    let mut mem_ends = 0;
+    for u in tree.nodes() {
+        let want = tree
+            .nbrs(u)
+            .iter()
+            .filter(|v| v.idx() % pool == u.idx() % pool)
+            .count() as u32;
+        let got = cluster.node_metrics(u).unwrap().mem_edges;
+        assert_eq!(got, want, "{label}: node {} memory edges", u.0);
+        mem_ends += got;
+    }
 
     // …and again from the authoritative per-node reports after shutdown.
     let report = cluster.shutdown();
@@ -112,6 +132,7 @@ fn assert_parity_on<S: PolicySpec>(
         reference.total(),
         "{label}: totals differ"
     );
+    mem_ends / 2
 }
 
 fn topologies() -> Vec<(&'static str, Tree)> {
@@ -303,7 +324,7 @@ fn byte_parity_holds_on_every_transport() {
             &tree,
             &RwwSpec,
             &seq,
-            transport,
+            on(transport),
         );
         let seq = hotspot(&tree, 40, 0.4, 2, 2, 0xC0FFEE);
         assert_parity_on(
@@ -311,8 +332,34 @@ fn byte_parity_holds_on_every_transport() {
             &tree,
             &RwwSpec,
             &seq,
-            transport,
+            on(transport),
         );
+    }
+}
+
+#[test]
+fn memory_pipes_and_sockets_give_identical_parity() {
+    // One reactor owns every node, so every edge is an in-memory pipe;
+    // one reactor per node, so none is. Both must reproduce the
+    // simulator's values and per-edge message counts exactly, on every
+    // transport (clients keep the configured transport either way).
+    let tree = Tree::kary(10, 3);
+    let edges = tree.len() as u32 - 1;
+    for transport in TRANSPORTS {
+        for (threads, want_mem) in [(1, edges), (tree.len(), 0)] {
+            for (kind, seq) in [
+                ("uniform", uniform(&tree, 60, 0.5, 0xA11CE)),
+                ("hotspot", hotspot(&tree, 40, 0.4, 2, 2, 0xC0FFEE)),
+            ] {
+                let label = format!("{kind}/threads={threads}/{}", transport.name());
+                let cfg = NetConfig {
+                    threads: Some(threads),
+                    ..on(transport)
+                };
+                let mem = assert_parity_on(&label, &tree, &RwwSpec, &seq, cfg);
+                assert_eq!(mem, want_mem, "{label}: in-memory edges");
+            }
+        }
     }
 }
 
@@ -350,7 +397,7 @@ fn batched_replay_matches_the_oracle_on_every_transport() {
         seq.extend(combines.iter().cloned());
         let sim = run_sequential(&tree, SumI64, &RwwSpec, Schedule::Fifo, &seq, false);
 
-        let cluster = spawn_on(&tree, &RwwSpec, transport)
+        let cluster = spawn_on(&tree, &RwwSpec, on(transport))
             .unwrap_or_else(|e| panic!("{name}: spawn failed: {e}"));
         let net_writes = cluster.replay_sequential(&writes).unwrap();
         assert!(net_writes.combines.is_empty());

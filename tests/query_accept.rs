@@ -104,3 +104,34 @@ fn kill9_chaos_partials_never_regress_and_finals_stay_exact() {
     assert!(report.dead_nodes.is_empty(), "no node may stay wedged");
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
+
+/// Tumbling finals under delayed frames. A write ack only says the
+/// write's transitions ran at its shard node; its updates toward node 0
+/// may still be in flight, so a window's final must wait for the whole
+/// cluster to quiesce before it reads the tree. Delayed frames arrive
+/// one RTO late, which exposes any final read taken too early.
+#[test]
+fn tumbling_finals_stay_exact_under_delayed_frames() {
+    let tree = Tree::kary(7, 2);
+    let spec: QuerySpec = "sum group by key window tumbling(100ms)".parse().unwrap();
+    for seed in 0..6 {
+        let facts = zipf_facts(150, 3, 1.2, 4, seed);
+        let plan = FaultPlan {
+            seed,
+            delay_p: 0.2,
+            ..FaultPlan::default()
+        };
+        let cluster =
+            Cluster::spawn_with(&tree, SumI64, &RwwSpec, false, plan, NetConfig::default())
+                .expect("spawn");
+        let result = run(&cluster, &spec, &facts).expect("query under delays");
+        assert!(result.matches_oracle(&facts), "seed {seed}: finals diverge");
+        assert!(
+            result.coverage_monotone(),
+            "seed {seed}: coverage regressed"
+        );
+        let (_, _, delays, _, _) = cluster.injected().snapshot();
+        assert!(delays > 0, "seed {seed}: no frame was delayed");
+        cluster.shutdown();
+    }
+}
