@@ -202,4 +202,13 @@ echo "== crash-recovery smoke: oat chaos --kill9 =="
   --faults "seed:7,drop:0.05,dup:0.05,kill:0-1@3,torn-tail:64" \
   --kill9 0@6,2@5
 
+echo "== perfbench self-test: python3 perfbench/run.py --self-test =="
+# The repository benchmark is its own Cargo package built against
+# crates/* by path. Its self-test builds it, runs every workload at tiny
+# sizes (traced and untraced) and checks that every metric in
+# BENCHMARK.json is printed and every correctness gate passes, so a
+# crate API change that breaks the benchmark, or a gate it would fail,
+# shows up here first.
+python3 perfbench/run.py --self-test
+
 echo "== ci: all green =="

@@ -2,7 +2,8 @@
 //!
 //! The build environment has no registry access, so this workspace
 //! vendors the slice of the criterion 0.5 API its benches use:
-//! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`], [`BenchmarkId`],
+//! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`],
+//! [`Bencher::iter_batched`], [`BatchSize`], [`BenchmarkId`],
 //! [`Throughput`], and the `criterion_group!` / `criterion_main!` macros.
 //!
 //! Instead of criterion's statistical machinery this harness runs a short
@@ -29,6 +30,19 @@ pub enum Throughput {
     Elements(u64),
     /// Bytes processed per iteration.
     Bytes(u64),
+}
+
+/// How many inputs [`Bencher::iter_batched`] prepares at once. This
+/// harness always prepares the whole measured batch up front, so the
+/// variants differ only in name.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs are cheap to hold in memory.
+    SmallInput,
+    /// Inputs are large.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
 }
 
 /// A benchmark identifier: a function name plus an optional parameter.
@@ -78,6 +92,28 @@ impl Bencher {
             black_box(routine());
         }
         self.elapsed_per_iter = start.elapsed() / self.iters.max(1) as u32;
+    }
+
+    /// Times `routine` on inputs built by `setup`; only the routine is
+    /// measured. Every input of a batch is built before the clock starts,
+    /// and the routine's outputs are dropped after it stops.
+    pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
+        &mut self,
+        mut setup: S,
+        mut routine: R,
+        _size: BatchSize,
+    ) {
+        for _ in 0..self.iters.min(3) {
+            black_box(routine(setup()));
+        }
+        let inputs: Vec<I> = (0..self.iters).map(|_| setup()).collect();
+        let mut outputs = Vec::with_capacity(inputs.len());
+        let start = Instant::now();
+        for input in inputs {
+            outputs.push(black_box(routine(input)));
+        }
+        self.elapsed_per_iter = start.elapsed() / self.iters.max(1) as u32;
+        drop(outputs);
     }
 }
 
@@ -249,6 +285,21 @@ mod tests {
         // 4 measured + up to 3 warm-up iterations.
         assert!(ran >= 4);
         c.bench_function("shim/standalone", |b| b.iter(|| black_box(1 + 1)));
+        let (mut built, mut used) = (0u64, 0u64);
+        c.bench_function("shim/batched", |b| {
+            b.iter_batched(
+                || {
+                    built += 1;
+                    vec![1u8; 4]
+                },
+                |v| {
+                    used += 1;
+                    v.len()
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        assert!(used >= 4 && built == used);
         assert_eq!(format!("{}", BenchmarkId::new("a", 5)), "a/5");
     }
 }

@@ -94,14 +94,20 @@ pub struct MechNode<P: NodePolicy, A: AggOp> {
     probe_epoch: Vec<u64>,
     /// Stale-epoch responses discarded by `T4` (diagnostic counter).
     stale_responses: u64,
+    /// High-water marks of `|sntupdates|` and `Σ|uaw|`, sampled after
+    /// every `T5` (the only transition that grows either). Diagnostic
+    /// counters like `stale_responses`: not part of `hash_state`.
+    ledger_peak: usize,
+    uaw_peak: usize,
     /// Pruning watermark per neighbour `w`: every update id we sent to
     /// `w` *before* `watermark[w]` has been acknowledged (by a release
     /// from `w`, or because `w`'s lease was granted afresh with an empty
     /// `uaw`). A future `release(S)` from `w` therefore satisfies
     /// `min(S) ≥ watermark[w]`, so `sntupdates` tuples with `sntid`
     /// below every granted neighbour's watermark can never be consulted
-    /// again and are dropped — keeping the ledger `O(degree)` instead of
-    /// `O(history)`. Pure optimisation: behaviour is unchanged (tested).
+    /// again and are dropped — keeping the ledger bounded by the updates
+    /// still in flight instead of `O(history)`. Pure optimisation:
+    /// behaviour is unchanged (tested).
     watermark: Vec<u64>,
     // --- policy + ghost ---
     policy: P,
@@ -126,6 +132,8 @@ impl<P: NodePolicy + Clone, A: AggOp> Clone for MechNode<P, A> {
             epoch: self.epoch,
             probe_epoch: self.probe_epoch.clone(),
             stale_responses: self.stale_responses,
+            ledger_peak: self.ledger_peak,
+            uaw_peak: self.uaw_peak,
             watermark: self.watermark.clone(),
             policy: self.policy.clone(),
             ghost: self.ghost.clone(),
@@ -190,6 +198,8 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
             epoch: 0,
             probe_epoch: vec![0; k],
             stale_responses: 0,
+            ledger_peak: 0,
+            uaw_peak: 0,
             policy,
             ghost: if ghost { Some(GhostState::new()) } else { None },
             nbrs,
@@ -259,6 +269,16 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
     /// Current `sntupdates` ledger size (bounded-memory tests).
     pub fn sntupdates_len(&self) -> usize {
         self.sntupdates.len()
+    }
+
+    /// Largest `sntupdates` ledger this automaton has held.
+    pub fn ledger_peak(&self) -> usize {
+        self.ledger_peak
+    }
+
+    /// Largest `Σ|uaw[v]|` over all neighbours this automaton has held.
+    pub fn uaw_peak(&self) -> usize {
+        self.uaw_peak
     }
 
     /// This automaton's incarnation number.
@@ -403,7 +423,15 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
     ///    future `A` sets) preserves behaviour exactly.
     ///
     /// Together these keep the ledger `O(degree · |uaw|)` instead of
-    /// `O(history)`; the long-run tests pin the bound.
+    /// `O(history)`. In sequential executions that is `O(degree)` (the
+    /// long-run tests pin it); concurrent writes can hold far more
+    /// unacknowledged updates in flight, so the ledger and `uaw` grow to
+    /// tens or hundreds of entries there (DESIGN §7).
+    ///
+    /// Cost per call: `O(|sntupdates| + Σ|uaw|)`: each source's
+    /// `min(uaw[v])` is computed once per call. This runs on every
+    /// forwarded update and every release, so rescanning `uaw` per tuple
+    /// would make it quadratic in the backlog under concurrent writes.
     fn prune_sntupdates(&mut self) {
         let min_watermark = (0..self.nbrs.len())
             .filter(|&i| self.granted[i])
@@ -416,19 +444,25 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
                 return;
             }
         }
-        // Per source, the best (max-sntid) stale-β representative.
-        let k = self.nbrs.len();
-        let mut best_stale: Vec<Option<u64>> = vec![None; k];
+        if self.sntupdates.is_empty() {
+            return;
+        }
+        // Per source v: min(uaw[v]) (u64::MAX when empty) and the best
+        // (max-sntid) stale-β representative.
+        let mut per_src: Vec<(u64, Option<u64>)> = self
+            .uaw
+            .iter()
+            .map(|u| (u.iter().copied().min().unwrap_or(u64::MAX), None))
+            .collect();
         for t in &self.sntupdates {
-            let m = self.uaw[t.from].iter().copied().min().unwrap_or(u64::MAX);
-            if t.rcvid < m {
-                let slot = &mut best_stale[t.from];
-                *slot = Some(slot.map_or(t.sntid, |s: u64| s.max(t.sntid)));
+            let (min, best) = &mut per_src[t.from];
+            if t.rcvid < *min {
+                *best = Some(best.map_or(t.sntid, |s| s.max(t.sntid)));
             }
         }
         self.sntupdates.retain(|t| {
-            let m = self.uaw[t.from].iter().copied().min().unwrap_or(u64::MAX);
-            t.rcvid >= m || best_stale[t.from] == Some(t.sntid)
+            let (min, best) = per_src[t.from];
+            t.rcvid >= min || best == Some(t.sntid)
         });
     }
 
@@ -723,6 +757,9 @@ impl<P: NodePolicy, A: AggOp> MechNode<P, A> {
         } else {
             self.forward_release(out);
         }
+        self.ledger_peak = self.ledger_peak.max(self.sntupdates.len());
+        let uaw_total = self.uaw.iter().map(Vec::len).sum();
+        self.uaw_peak = self.uaw_peak.max(uaw_total);
     }
 
     /// `T6`: release received from `w`.
@@ -870,6 +907,7 @@ mod tests {
     use crate::policy::rww::RwwSpec;
     use crate::policy::PolicySpec;
     use crate::tree::Tree;
+    use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -1272,6 +1310,154 @@ mod tests {
         assert_eq!(*u.aval(0), 0, "no stale cached aggregate");
         assert!(out.is_empty(), "no messages, so no spurious release later");
         assert_eq!(u.stale_responses(), 1);
+    }
+
+    /// The per-tuple formulation `prune_sntupdates` replaced: it
+    /// recomputes `min(uaw[t.from])` for every tuple, twice, so one call
+    /// costs `O(|sntupdates| · |uaw|)`. Kept as the equivalence oracle.
+    fn prune_sntupdates_reference<P: NodePolicy, A: AggOp>(m: &mut MechNode<P, A>) {
+        let min_watermark = (0..m.nbrs.len())
+            .filter(|&i| m.granted[i])
+            .map(|i| m.watermark[i])
+            .min();
+        match min_watermark {
+            Some(wm) => m.sntupdates.retain(|t| t.sntid >= wm),
+            None => {
+                m.sntupdates.clear();
+                return;
+            }
+        }
+        let k = m.nbrs.len();
+        let mut best_stale: Vec<Option<u64>> = vec![None; k];
+        for t in &m.sntupdates {
+            let min = m.uaw[t.from].iter().copied().min().unwrap_or(u64::MAX);
+            if t.rcvid < min {
+                let slot = &mut best_stale[t.from];
+                *slot = Some(slot.map_or(t.sntid, |s: u64| s.max(t.sntid)));
+            }
+        }
+        let uaw = &m.uaw;
+        m.sntupdates.retain(|t| {
+            let min = uaw[t.from].iter().copied().min().unwrap_or(u64::MAX);
+            t.rcvid >= min || best_stale[t.from] == Some(t.sntid)
+        });
+    }
+
+    /// Raw ledger-state ingredients: neighbour count, per-neighbour
+    /// grant bits, watermarks and `uaw` sets, whether ledger `sntid`s
+    /// are distinct and increasing (as the mechanism issues them) or
+    /// drawn with repeats (stale-β ties), and `(from, rcvid, sntid)`
+    /// tuples.
+    type LedgerCase = (
+        usize,
+        Vec<bool>,
+        Vec<u64>,
+        Vec<Vec<u64>>,
+        bool,
+        Vec<(usize, u64, u64)>,
+    );
+
+    fn ledger_case() -> impl Strategy<Value = LedgerCase> {
+        use proptest::collection::vec;
+        (1usize..=4).prop_flat_map(|k| {
+            (
+                Just(k),
+                vec(any::<bool>(), k),
+                vec(0u64..24, k),
+                vec(vec(0u64..24, 0..=4), k),
+                any::<bool>(),
+                vec((0..k, 0u64..24, 0u64..32), 0..=64),
+            )
+        })
+    }
+
+    /// A star centre with `k` neighbours carrying the drawn ledger state.
+    fn ledger_node(case: &LedgerCase) -> MechNode<crate::policy::rww::RwwNode, SumI64> {
+        let (k, granted, watermark, uaw, distinct, tuples) = case;
+        let t = Tree::star(k + 1);
+        let mut m = node(&t, 0);
+        m.granted = granted.clone();
+        m.watermark = watermark.clone();
+        m.uaw = uaw.clone();
+        m.sntupdates = tuples
+            .iter()
+            .enumerate()
+            .map(|(i, &(from, rcvid, sntid))| SntUpdate {
+                from,
+                rcvid,
+                sntid: if *distinct { 8 + i as u64 } else { sntid },
+            })
+            .collect();
+        m
+    }
+
+    fn state_hash(m: &MechNode<crate::policy::rww::RwwNode, SumI64>) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        m.hash_state(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// The linear prune leaves exactly the tuples the per-tuple
+        /// reference leaves, in the same order, so `hash_state` (and with
+        /// it model-checker dedup) cannot tell the two apart.
+        #[test]
+        fn linear_prune_matches_per_tuple_reference(case in ledger_case()) {
+            let mut fast = ledger_node(&case);
+            let mut reference = ledger_node(&case);
+            fast.prune_sntupdates();
+            prune_sntupdates_reference(&mut reference);
+            prop_assert_eq!(&fast.sntupdates, &reference.sntupdates, "case {:?}", case);
+            prop_assert_eq!(state_hash(&fast), state_hash(&reference));
+        }
+    }
+
+    #[test]
+    fn stale_beta_collapse_keeps_the_newest_representative() {
+        // Source 0 has uaw {5, 9}: tuples with rcvid < 5 are stale and
+        // collapse to the one with the largest sntid; source 1's uaw is
+        // empty (the u64::MAX sentinel), so all its tuples are stale.
+        let case: LedgerCase = (
+            2,
+            vec![true, false],
+            vec![0, 0],
+            vec![vec![9, 5], vec![]],
+            false,
+            vec![(0, 1, 10), (1, 4, 11), (0, 6, 12), (0, 2, 13), (1, 3, 14)],
+        );
+        let mut m = ledger_node(&case);
+        m.prune_sntupdates();
+        let kept: Vec<(usize, u64, u64)> = m
+            .sntupdates
+            .iter()
+            .map(|t| (t.from, t.rcvid, t.sntid))
+            .collect();
+        assert_eq!(kept, vec![(0, 6, 12), (0, 2, 13), (1, 3, 14)]);
+    }
+
+    #[test]
+    fn peaks_track_ledger_and_uaw_high_water_marks() {
+        // Path 0 - 1 - 2, leases warmed both ways: every update node 1
+        // receives from 0 is forwarded to 2 and stays in the ledger.
+        let t = Tree::path(3);
+        let mut m = node(&t, 1);
+        m.prewarm_leases();
+        let mut out = Vec::new();
+        for id in 1..=3 {
+            let upd = Message::Update {
+                x: 1,
+                id,
+                wlog: None,
+            };
+            m.handle_message(n(0), upd, &mut out);
+        }
+        assert_eq!((m.ledger_peak(), m.uaw_peak()), (3, 3));
+        // A combine clears uaw; the peaks keep the high-water marks.
+        m.handle_combine(&mut out);
+        assert_eq!(m.uaw(0).len(), 0);
+        assert_eq!((m.ledger_peak(), m.uaw_peak()), (3, 3));
     }
 
     /// Epochs are sticky per probe: a node relaying a chained fan-out

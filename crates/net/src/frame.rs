@@ -137,10 +137,13 @@ pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> io::Result<(
             "frame exceeds MAX_FRAME",
         ));
     }
-    // Two write_all calls per frame; node outbound paths wrap the stream
-    // in a BufWriter and flush at batch boundaries, so consecutive frames
-    // for one connection coalesce into a single syscall (TCP_NODELAY is
-    // set on every stream, so flushed bytes leave promptly).
+    // Two write_all calls per frame, so `w` should be memory: node
+    // outbound paths encode into a connection's `WriteQueue` chunks and
+    // the reactor drains them with `write_vectored` once per pass, and
+    // clients encode into their `wbuf` and flush it with one write. Either
+    // way consecutive frames for one connection coalesce into a single
+    // syscall (TCP_NODELAY is set on every stream, so flushed bytes leave
+    // promptly).
     let mut head = [0u8; 5];
     head[..4].copy_from_slice(&(len as u32).to_le_bytes());
     head[4] = tag;

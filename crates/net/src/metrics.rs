@@ -62,6 +62,13 @@ pub struct NodeMetrics {
     /// Live edges on an in-memory pipe: the neighbour is served by the
     /// same reactor thread, so frames on the edge skip the kernel.
     pub mem_edges: u32,
+    /// Largest `sntupdates` ledger tree 0's automaton has held since it
+    /// last (re)started. Sequential runs keep it `O(degree)`; concurrent
+    /// writes push it to tens or hundreds of tuples.
+    pub ledger_peak: u64,
+    /// Largest `Σ|uaw|` (unacknowledged updates over all neighbours) of
+    /// the same automaton over the same span.
+    pub uaw_peak: u64,
 }
 
 impl NodeMetrics {
@@ -98,6 +105,8 @@ impl NodeMetrics {
         put_u64(out, self.wal_torn_bytes);
         put_u64(out, self.wal_snapshots);
         put_u32(out, self.mem_edges);
+        put_u64(out, self.ledger_peak);
+        put_u64(out, self.uaw_peak);
     }
 
     /// Decodes a snapshot, requiring full consumption of `buf`.
@@ -143,6 +152,8 @@ impl NodeMetrics {
             wal_torn_bytes: r.u64("metrics wal_torn_bytes")?,
             wal_snapshots: r.u64("metrics wal_snapshots")?,
             mem_edges: r.u32("metrics mem_edges")?,
+            ledger_peak: r.u64("metrics ledger_peak")?,
+            uaw_peak: r.u64("metrics uaw_peak")?,
         };
         r.finish("metrics trailing bytes")?;
         Ok(metrics)
@@ -182,7 +193,7 @@ impl NodeMetrics {
             out.push_str("\n  ");
         }
         out.push_str(&format!(
-            "],\n  \"leases\": {{\"taken\": {}, \"granted\": {}}},\n  \"queue\": {{\"depth\": {}, \"peak\": {}}},\n  \"combines\": {{\"pending\": {}, \"served\": {}}},\n  \"faults\": {{\"reconnects\": {}, \"retransmits\": {}, \"dup_drops\": {}, \"timeouts\": {}, \"restarts\": {}, \"kill9s\": {}, \"backpressure_stalls\": {}}},\n  \"wal\": {{\"records\": {}, \"fsyncs\": {}, \"replays\": {}, \"torn_bytes\": {}, \"snapshots\": {}}},\n  \"mem_edges\": {}\n}}",
+            "],\n  \"leases\": {{\"taken\": {}, \"granted\": {}}},\n  \"queue\": {{\"depth\": {}, \"peak\": {}}},\n  \"combines\": {{\"pending\": {}, \"served\": {}}},\n  \"faults\": {{\"reconnects\": {}, \"retransmits\": {}, \"dup_drops\": {}, \"timeouts\": {}, \"restarts\": {}, \"kill9s\": {}, \"backpressure_stalls\": {}}},\n  \"wal\": {{\"records\": {}, \"fsyncs\": {}, \"replays\": {}, \"torn_bytes\": {}, \"snapshots\": {}}},\n  \"mem_edges\": {},\n  \"ledger\": {{\"peak\": {}, \"uaw_peak\": {}}}\n}}",
             self.leases_taken,
             self.leases_granted,
             self.queue_depth,
@@ -202,6 +213,8 @@ impl NodeMetrics {
             self.wal_torn_bytes,
             self.wal_snapshots,
             self.mem_edges,
+            self.ledger_peak,
+            self.uaw_peak,
         ));
         out
     }
@@ -236,6 +249,8 @@ mod tests {
             wal_torn_bytes: 11,
             wal_snapshots: 1,
             mem_edges: 2,
+            ledger_peak: 21,
+            uaw_peak: 29,
         }
     }
 
@@ -261,7 +276,7 @@ mod tests {
             "\"faults\": {\"reconnects\": 1, \"retransmits\": 2, \"dup_drops\": 3, \"timeouts\": 4, \"restarts\": 5, \"kill9s\": 7, \"backpressure_stalls\": 6}"
         ));
         assert!(json.contains(
-            "\"wal\": {\"records\": 80, \"fsyncs\": 9, \"replays\": 2, \"torn_bytes\": 11, \"snapshots\": 1},\n  \"mem_edges\": 2\n}"
+            "\"wal\": {\"records\": 80, \"fsyncs\": 9, \"replays\": 2, \"torn_bytes\": 11, \"snapshots\": 1},\n  \"mem_edges\": 2,\n  \"ledger\": {\"peak\": 21, \"uaw_peak\": 29}\n}"
         ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

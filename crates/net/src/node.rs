@@ -2374,6 +2374,8 @@ where
                 .iter()
                 .filter(|l| l.conn.as_ref().is_some_and(|c| c.stream.is_mem()))
                 .count() as u32,
+            ledger_peak: self.mech.ledger_peak() as u64,
+            uaw_peak: self.mech.uaw_peak() as u64,
         }
     }
 

@@ -745,10 +745,31 @@ fn top_frame(
         cluster.tree().len().saturating_sub(1),
         cluster.threads_spawned(),
     );
+    // Which ledger regime the run is in: O(degree) tuples per node in
+    // sequential runs, tens to hundreds under concurrent writes.
+    if let Some(m) = ok.iter().max_by_key(|m| m.ledger_peak) {
+        let uaw = ok.iter().map(|m| m.uaw_peak).max().unwrap_or(0);
+        let _ = writeln!(
+            s,
+            "  ledger: peak {} tuples (node {}), peak Σ|uaw| {}",
+            m.ledger_peak, m.node, uaw
+        );
+    }
     let _ = writeln!(
         s,
-        "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>3}  {:>6} {:>5} {:>8}",
-        "node", "served", "queue", "peak", "taken", "granted", "mem", "reconn", "rto", "restarts"
+        "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>3}  {:>6} {:>5}  {:>6} {:>5} {:>8}",
+        "node",
+        "served",
+        "queue",
+        "peak",
+        "taken",
+        "granted",
+        "mem",
+        "ledger",
+        "uaw",
+        "reconn",
+        "rto",
+        "restarts"
     );
     // The busiest nodes by combines served; nodes whose poll failed (a
     // node may be mid-crash-restart under --faults) become dimmed rows.
@@ -756,7 +777,7 @@ fn top_frame(
     for m in ok.iter().take(8) {
         let _ = writeln!(
             s,
-            "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>3}  {:>6} {:>5} {:>8}",
+            "  {:>4}  {:>8} {:>6} {:>6}  {:>5} {:>7}  {:>3}  {:>6} {:>5}  {:>6} {:>5} {:>8}",
             m.node,
             m.combines_served,
             m.queue_depth,
@@ -764,6 +785,8 @@ fn top_frame(
             m.leases_taken,
             m.leases_granted,
             m.mem_edges,
+            m.ledger_peak,
+            m.uaw_peak,
             m.reconnects,
             m.timeouts,
             m.restarts,

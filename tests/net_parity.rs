@@ -115,9 +115,19 @@ where
             .iter()
             .filter(|v| v.idx() % pool == u.idx() % pool)
             .count() as u32;
-        let got = cluster.node_metrics(u).unwrap().mem_edges;
-        assert_eq!(got, want, "{label}: node {} memory edges", u.0);
-        mem_ends += got;
+        let m = cluster.node_metrics(u).unwrap();
+        assert_eq!(m.mem_edges, want, "{label}: node {} memory edges", u.0);
+        mem_ends += m.mem_edges;
+        // In a sequential execution every update reaches a node in the
+        // quiescent state the previous request left, so the ledger
+        // high-water marks match the simulator's node for node.
+        let reference = sim.engine.node(u);
+        assert_eq!(
+            (m.ledger_peak, m.uaw_peak),
+            (reference.ledger_peak() as u64, reference.uaw_peak() as u64),
+            "{label}: node {} ledger/uaw peaks",
+            u.0
+        );
     }
 
     // …and again from the authoritative per-node reports after shutdown.
